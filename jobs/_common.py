@@ -1,8 +1,8 @@
 """Shared plumbing for the spark-submit job entrypoints.
 
-Each ``run_table*.py`` prints one evaluation table to stdout. Jobs that
-need a SparkSession (the oracle checks, the Spark-parallel exhaustive
-sweep) build a local one; the analytic experiments run without Spark.
+Each ``run_table*.py`` prints one evaluation table to stdout. The
+experiments run on the analytic simulator, so no job needs a
+SparkSession; importing this module puts ``src/`` on the path.
 """
 from __future__ import annotations
 
@@ -10,19 +10,3 @@ import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-
-def get_spark():
-    """A local SparkSession mirroring conftest.py's settings."""
-    from pyspark.sql import SparkSession
-
-    return (
-        SparkSession.builder.appName("repro-job")
-        .master(os.environ.get("SPARK_MASTER", "local[*]"))
-        .config("spark.sql.shuffle.partitions", "64")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.driver.host", "127.0.0.1")
-        .config("spark.ui.enabled", "false")
-        .getOrCreate()
-    )

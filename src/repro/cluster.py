@@ -88,3 +88,12 @@ CLUSTER_B = ClusterSpec(
     network_mbps=10000.0 / 8.0,  # 10Gbps -> 1250 MB/s
     disk_mbps=250.0,
 )
+
+
+def cluster_by_name(name: str) -> ClusterSpec:
+    """Resolve a cluster spec by its Table 3 name."""
+    clusters = {c.name: c for c in (CLUSTER_A, CLUSTER_B)}
+    try:
+        return clusters[name]
+    except KeyError:
+        raise KeyError(f"unknown cluster {name!r}; known: {sorted(clusters)}") from None
