@@ -10,9 +10,10 @@ A :class:`MemoryConfig` carries the five knobs every policy tunes
 * ``new_ratio`` — JVM Old:Young capacity ratio (ParallelGC).
 
 Also defined here: the Amazon-EMR ``MaxResourceAllocation`` default policy
-(Table 4) and the discretized grid the Exhaustive Search policy probes
-(§6.1: 4 values per knob, only the dominant one of Cache/Shuffle varied,
-the minor pool pinned at 0.1).
+(Table 4), :func:`pool_config`, the one mapping from the four tuned §6.1
+knobs to a ``MemoryConfig`` (only the dominant one of Cache/Shuffle
+varied, the minor pool pinned at 0.1), and the discretized grid the
+Exhaustive Search policy probes (§6.1: 4 values per knob).
 """
 from __future__ import annotations
 
@@ -106,38 +107,56 @@ def unified_pool_fraction(cfg: MemoryConfig) -> float:
     return cfg.cache_capacity + cfg.shuffle_capacity
 
 
-def grid_configs(cluster: ClusterSpec, *, dominant_pool: str) -> list[MemoryConfig]:
-    """The Exhaustive Search grid (§6.1).
-
-    ``dominant_pool`` is ``"cache"`` for cache-heavy apps (K-means, SVM,
-    PageRank) or ``"shuffle"`` for shuffle-only apps (WordCount,
-    SortByKey). Only the dominant pool fraction is varied; the minor one
-    is pinned to :data:`MINOR_POOL_CAPACITY` (0 when the app does not use
-    it at all is handled by the workload model, not the grid). Task
-    Concurrency values are capped by cores/containers.
-    """
+def check_dominant_pool(dominant_pool: str) -> str:
+    """``dominant_pool`` itself, if it is ``"cache"`` or ``"shuffle"``."""
     if dominant_pool not in ("cache", "shuffle"):
         raise ValueError(f"dominant_pool must be cache|shuffle, got {dominant_pool}")
-    out: list[MemoryConfig] = []
-    for n, p, frac, nr in product(
-        range(1, cluster.max_containers_per_node + 1),
-        GRID_TASK_CONCURRENCY,
-        GRID_POOL_FRACTIONS,
-        GRID_NEW_RATIOS,
-    ):
-        if p > cluster.max_task_concurrency(n):
-            continue
-        if dominant_pool == "cache":
-            cache, shuffle = frac, MINOR_POOL_CAPACITY
-        else:
-            cache, shuffle = 0.0, frac
-        out.append(
-            MemoryConfig(
-                containers_per_node=n,
-                task_concurrency=p,
-                cache_capacity=cache,
-                shuffle_capacity=shuffle,
-                new_ratio=nr,
-            )
+    return dominant_pool
+
+
+def pool_config(n: int, p: int, frac: float, nr: int, *, dominant_pool: str) -> MemoryConfig:
+    """The one point of the §6.1 space with knobs (n, p, frac, NR).
+
+    ``frac`` (rounded to 2 decimals) goes to the dominant pool — Cache
+    Capacity for cache-heavy apps (K-means, SVM, PageRank), Shuffle
+    Capacity for shuffle-only apps (WordCount, SortByKey). A cache-heavy
+    app keeps the minor shuffle pool pinned at :data:`MINOR_POOL_CAPACITY`;
+    a shuffle-only app gets no cache pool. Task Concurrency is taken as
+    given: each caller applies its own cap.
+    """
+    frac = round(frac, 2)
+    if check_dominant_pool(dominant_pool) == "cache":
+        cache, shuffle = frac, MINOR_POOL_CAPACITY
+    else:
+        cache, shuffle = 0.0, frac
+    return MemoryConfig(
+        containers_per_node=n,
+        task_concurrency=p,
+        cache_capacity=cache,
+        shuffle_capacity=shuffle,
+        new_ratio=nr,
+    )
+
+
+def pool_knobs(cfg: MemoryConfig, *, dominant_pool: str) -> tuple[int, int, float, int]:
+    """Inverse of :func:`pool_config`: (n, p, dominant pool fraction, NR)."""
+    if check_dominant_pool(dominant_pool) == "cache":
+        frac = cfg.cache_capacity
+    else:
+        frac = cfg.shuffle_capacity
+    return cfg.containers_per_node, cfg.task_concurrency, frac, cfg.new_ratio
+
+
+def grid_configs(cluster: ClusterSpec, *, dominant_pool: str) -> list[MemoryConfig]:
+    """The Exhaustive Search grid (§6.1): :func:`pool_config` over the
+    grid values, skipping Task Concurrency above cores/containers."""
+    return [
+        pool_config(n, p, frac, nr, dominant_pool=dominant_pool)
+        for n, p, frac, nr in product(
+            range(1, cluster.max_containers_per_node + 1),
+            GRID_TASK_CONCURRENCY,
+            GRID_POOL_FRACTIONS,
+            GRID_NEW_RATIOS,
         )
-    return out
+        if p <= cluster.max_task_concurrency(n)
+    ]

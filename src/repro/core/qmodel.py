@@ -13,10 +13,16 @@ Given a candidate configuration ``x`` and the profiled statistics of a
 """
 from __future__ import annotations
 
+import numpy as np
+
 from ..cluster import ClusterSpec
 from ..config import MemoryConfig
 from ..profiler.stats import ProfileStats
 from ..simcluster.jvm import geometry
+
+#: q values are clipped before scaling into [0, 1] — a wildly unsafe
+#: configuration should rank "bad", not distort distances.
+Q_CLIP = 4.0
 
 
 def q_metrics(cfg: MemoryConfig, stats: ProfileStats, cluster: ClusterSpec) -> tuple[float, float, float]:
@@ -54,3 +60,9 @@ def q_metrics(cfg: MemoryConfig, stats: ProfileStats, cluster: ClusterSpec) -> t
     q3 = p * min(m_s_x, m_s_req) / max(1.0, 0.5 * geom.eden_mb)
 
     return float(q1), float(q2), float(q3)
+
+
+def q_features(cfg: MemoryConfig, stats: ProfileStats, cluster: ClusterSpec) -> np.ndarray:
+    """(q1, q2, q3) clipped to [0, Q_CLIP] and scaled by 1/Q_CLIP: the q
+    inputs of GBO's surrogate and DDPG's state."""
+    return np.clip(np.array(q_metrics(cfg, stats, cluster)), 0.0, Q_CLIP) / Q_CLIP

@@ -8,6 +8,8 @@ and labels of Figure 16. RelM's overhead is its profiling run(s).
 """
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..cluster import CLUSTER_A
@@ -36,9 +38,14 @@ MAX_ITERS = 60
 DDPG_MAX_STEPS = 80
 
 
-def train_to_top5(name: str, policy: str, *, seed: int = 0) -> tuple[float, int]:
+def train_to_top5(
+    name: str, policy: str, *, seed: int = 0, surrogate_fit: Callable | None = None
+) -> tuple[float, int]:
     """(total observation seconds, iterations) until a clean run lands in
-    the top-5 percentile; caps apply if the policy never converges."""
+    the top-5 percentile; caps apply if the policy never converges.
+
+    ``surrogate_fit`` replaces BO/GBO's Gaussian Process (Figure 26).
+    """
     model = workload_model(name)
     dp = dominant_pool(name)
     space = ConfigSpace(CLUSTER_A, dp)
@@ -55,12 +62,12 @@ def train_to_top5(name: str, policy: str, *, seed: int = 0) -> tuple[float, int]
     if policy == "BO":
         res = bayesian_optimize(
             objective, space, seed=seed, bootstrap=lhs_configs(space, rng),
-            max_iters=MAX_ITERS, target_runtime_sec=thr,
+            surrogate_fit=surrogate_fit, max_iters=MAX_ITERS, target_runtime_sec=thr,
         )
     elif policy == "GBO":
         res = guided_bayesian_optimize(
             objective, space, stats, seed=seed, bootstrap=lhs_configs(space, rng),
-            max_iters=MAX_ITERS, target_runtime_sec=thr,
+            surrogate_fit=surrogate_fit, max_iters=MAX_ITERS, target_runtime_sec=thr,
         )
     elif policy == "DDPG":
         res, _ = ddpg_tune(

@@ -10,41 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cluster import CLUSTER_A
-from ..tuners.base import ConfigSpace, Objective
-from ..tuners.bo import bayesian_optimize
-from ..tuners.gbo import guided_bayesian_optimize
-from ..tuners.lhs import lhs_configs
 from ..tuners.rf import RandomForest
-from ..workloads import dominant_pool, workload_model
-from .common import profiled_stats, top5_threshold
+from .fig16_overheads import train_to_top5
 from .tables import Table
 
-MAX_ITERS = 60
 
-
-def iterations_to_target(
-    name: str, *, guided: bool, surrogate: str, seed: int = 0
-) -> int:
-    """Adaptive iterations until the top-5%% target (capped)."""
-    model = workload_model(name)
-    space = ConfigSpace(CLUSTER_A, dominant_pool(name))
-    thr = top5_threshold(name, "A", seed)
-    stats = profiled_stats(name, "A", seed)
-    rng = np.random.default_rng(seed)
+def iterations(name: str, policy: str, surrogate: str, seed: int) -> int:
+    """Iterations of Figure 16's to-target session with the GP or RF surrogate."""
     fit = None
     if surrogate == "RF":
         fit = lambda x, y: RandomForest.fit(x, y, seed=seed)  # noqa: E731
-    objective = Objective(model, CLUSTER_A, seed=seed)
-    kw = dict(
-        seed=seed, bootstrap=lhs_configs(space, rng), surrogate_fit=fit,
-        max_iters=MAX_ITERS, target_runtime_sec=thr,
-    )
-    if guided:
-        res = guided_bayesian_optimize(objective, space, stats, **kw)
-    else:
-        res = bayesian_optimize(objective, space, **kw)
-    return res.iterations
+    return train_to_top5(name, policy, seed=seed, surrogate_fit=fit)[1]
 
 
 def run(seed: int = 0, *, n_repeats: int = 3) -> Table:
@@ -55,10 +31,8 @@ def run(seed: int = 0, *, n_repeats: int = 3) -> Table:
     )
     for name in ("K-means", "SVM"):
         for surrogate in ("GP", "RF"):
-            bo = [iterations_to_target(name, guided=False, surrogate=surrogate, seed=seed + i)
-                  for i in range(n_repeats)]
-            gbo = [iterations_to_target(name, guided=True, surrogate=surrogate, seed=seed + i)
-                   for i in range(n_repeats)]
+            bo = [iterations(name, "BO", surrogate, seed + i) for i in range(n_repeats)]
+            gbo = [iterations(name, "GBO", surrogate, seed + i) for i in range(n_repeats)]
             t.add(
                 application=name,
                 surrogate=surrogate,

@@ -7,8 +7,9 @@ Measures, on this host, one iteration's worth of each component:
 * **model fitting** — GP update (BO), GP update over the q-augmented
   features (GBO), one actor–critic training step (DDPG), the Initializer
   + Arbitrator evaluation (RelM);
-* **model probing** — EI over the candidate sweep (BO/GBO), an actor
-  forward pass (DDPG), the full container-enumeration loop (RelM);
+* **model probing** — featurizing the candidate sweep and its EI
+  (BO/GBO), an actor forward pass (DDPG), the full
+  container-enumeration loop (RelM);
 * **model size** — pickled state a policy would persist for re-use
   (§6.3: DDPG stores network weights, BO stores its training data).
 """
@@ -73,8 +74,6 @@ def measure(name: str = "SVM", seed: int = 0) -> dict[str, dict[str, str]]:
     feats = gbo_features(space, stats, CLUSTER_A)
     x_guided = np.array([feats(c) for c in configs])
     cands = space.sample(rng, 600)
-    xq_plain = np.array([space.encode(c) for c in cands])
-    xq_guided = np.array([feats(c) for c in cands])
 
     # Stats collection: the Statistics Generator over a fresh profile.
     profile = profile_app(model, default_config(name), CLUSTER_A, seed=seed)
@@ -97,26 +96,29 @@ def measure(name: str = "SVM", seed: int = 0) -> dict[str, dict[str, str]]:
         "size": f"{len(pickle.dumps((agent.actor.w, agent.actor.b, agent.critic.w, agent.critic.b))) / 1024:.0f}Kb",
     }
 
-    # --- BO.
+    # --- BO and GBO: probing featurizes the candidates and scores their
+    # EI, timed the same way for both.
+    def probe_ms(gp: GaussianProcess, featurize) -> float:
+        return _time(
+            lambda: expected_improvement(
+                gp, np.array([featurize(c) for c in cands]), float(y.min())
+            )
+        )
+
     gp_plain = GaussianProcess.fit(x_plain, y)
     out["BO"] = {
         "stats": "n/a",
         "fit": f"{_time(lambda: GaussianProcess.fit(x_plain, y)):.2f}ms",
-        "probe": f"{_time(lambda: expected_improvement(gp_plain, xq_plain, float(y.min()))):.2f}ms",
+        "probe": f"{probe_ms(gp_plain, space.encode):.2f}ms",
         "size": f"{len(pickle.dumps((x_plain, y))) / 1024:.0f}Kb",
     }
 
-    # --- GBO (adds the q-feature dimensionality).
+    # GBO adds the q-feature dimensionality.
     gp_guided = GaussianProcess.fit(x_guided, y)
-    probe_guided = _time(
-        lambda: expected_improvement(
-            gp_guided, np.array([feats(c) for c in cands]), float(y.min())
-        )
-    )
     out["GBO"] = {
         "stats": f"{stats_ms:.2f}ms",
         "fit": f"{_time(lambda: GaussianProcess.fit(x_guided, y)):.2f}ms",
-        "probe": f"{probe_guided:.2f}ms",
+        "probe": f"{probe_ms(gp_guided, feats):.2f}ms",
         "size": f"{len(pickle.dumps((x_guided, y))) / 1024:.0f}Kb",
     }
 

@@ -9,9 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..cluster import CLUSTER_A
+from ..config import pool_knobs
 from ..tuners.base import ConfigSpace
 from ..tuners.lhs import latin_hypercube, lhs_configs, paper_table7_samples
-from .tables import Table
+from .tables import Table, knobs_str
 
 
 def strata_covered(points: np.ndarray) -> bool:
@@ -37,14 +38,11 @@ def run(seed: int = 0) -> Table:
         ],
     )
     for i, (pc, oc) in enumerate(zip(paper, ours)):
-        pr, orow = pc.as_row(), oc.as_row()
         t.add(
             sample=str(i),
             **{
-                "paper (n, p, pool, NR)": f"({pr['containers_per_node']}, {pr['task_concurrency']}, "
-                f"{pr['cache_capacity']:g}, {pr['new_ratio']})",
-                "our draw (n, p, pool, NR)": f"({orow['containers_per_node']}, {orow['task_concurrency']}, "
-                f"{orow['cache_capacity']:g}, {orow['new_ratio']})",
+                "paper (n, p, pool, NR)": knobs_str(*pool_knobs(pc, dominant_pool=space.dominant_pool)),
+                "our draw (n, p, pool, NR)": knobs_str(*pool_knobs(oc, dominant_pool=space.dominant_pool)),
             },
         )
     return t

@@ -9,11 +9,12 @@ cached data).
 from __future__ import annotations
 
 from ..cluster import CLUSTER_A
+from ..config import pool_knobs
 from ..tuners.base import ConfigSpace, Objective
 from ..tuners.bo import bayesian_optimize
 from ..tuners.lhs import paper_table7_samples
 from ..workloads import dominant_pool, workload_model
-from .tables import Table
+from .tables import Table, knobs_str
 
 #: Paper Table 9 rows: (sample #, n, p, cache, NR, runtime minutes).
 PAPER = [
@@ -45,14 +46,10 @@ def run(seed: int = 0) -> Table:
     )
     for i, s in enumerate(result.samples):
         num = 0 if i < 4 else i - 3
-        r = s.config.as_row()
-        ours = (
-            f"({r['containers_per_node']}, {r['task_concurrency']}, "
-            f"{r['cache_capacity']:g}, {r['new_ratio']})"
-        )
+        ours = knobs_str(*pool_knobs(s.config, dominant_pool=space.dominant_pool))
         if i < len(PAPER):
-            pn, a, b, c, d, prt = PAPER[i]
-            paper_cfg, paper_rt = f"({a}, {b}, {c:g}, {d})", f"{prt:.1f}"
+            _, *knobs, prt = PAPER[i]
+            paper_cfg, paper_rt = knobs_str(*knobs), f"{prt:.1f}"
         else:
             paper_cfg, paper_rt = "—", "—"
         t.add(

@@ -48,3 +48,8 @@ def config_str(cfg) -> str:
         f"({r['containers_per_node']}, {r['task_concurrency']}, "
         f"{r['cache_capacity']:g}, {r['shuffle_capacity']:g}, {r['new_ratio']})"
     )
+
+
+def knobs_str(n: int, p: int, frac: float, nr: int) -> str:
+    """(n, p, dominant pool fraction, NR) rendering of Tables 7 and 9."""
+    return f"({n}, {p}, {frac:g}, {nr})"

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cluster import ClusterSpec
-from ..config import MINOR_POOL_CAPACITY, NEW_RATIO_MAX, MemoryConfig
+from ..config import NEW_RATIO_MAX, MemoryConfig, check_dominant_pool, pool_config, pool_knobs
 from ..simcluster.runtime import SimulatedRun, simulate
 from ..workloads.base import WorkloadModel
 
@@ -65,10 +65,8 @@ class ConfigSpace:
     FRAC_MIN, FRAC_MAX = 0.05, 0.9
 
     def __init__(self, cluster: ClusterSpec, dominant_pool: str):
-        if dominant_pool not in ("cache", "shuffle"):
-            raise ValueError(f"dominant_pool must be cache|shuffle, got {dominant_pool}")
         self.cluster = cluster
-        self.dominant_pool = dominant_pool
+        self.dominant_pool = check_dominant_pool(dominant_pool)
         self.dim = 4
 
     def decode(self, x: np.ndarray) -> MemoryConfig:
@@ -80,27 +78,17 @@ class ConfigSpace:
         p = max(1, min(p, p_max))
         frac = float(self.FRAC_MIN + x[2] * (self.FRAC_MAX - self.FRAC_MIN))
         nr = int(round(1 + x[3] * (NEW_RATIO_MAX - 1)))
-        if self.dominant_pool == "cache":
-            cache, shuffle = round(frac, 2), MINOR_POOL_CAPACITY
-        else:
-            cache, shuffle = 0.0, round(frac, 2)
-        return MemoryConfig(
-            containers_per_node=n,
-            task_concurrency=p,
-            cache_capacity=cache,
-            shuffle_capacity=shuffle,
-            new_ratio=nr,
-        )
+        return pool_config(n, p, frac, nr, dominant_pool=self.dominant_pool)
 
     def encode(self, cfg: MemoryConfig) -> np.ndarray:
         """Inverse of :meth:`decode` (up to rounding)."""
-        frac = cfg.cache_capacity if self.dominant_pool == "cache" else cfg.shuffle_capacity
+        n, p, frac, nr = pool_knobs(cfg, dominant_pool=self.dominant_pool)
         return np.array(
             [
-                (cfg.containers_per_node - 1) / (self.cluster.max_containers_per_node - 1),
-                (cfg.task_concurrency - 1) / (self.cluster.cores_per_node - 1),
+                (n - 1) / (self.cluster.max_containers_per_node - 1),
+                (p - 1) / (self.cluster.cores_per_node - 1),
                 (frac - self.FRAC_MIN) / (self.FRAC_MAX - self.FRAC_MIN),
-                (cfg.new_ratio - 1) / (NEW_RATIO_MAX - 1),
+                (nr - 1) / (NEW_RATIO_MAX - 1),
             ],
             dtype=float,
         ).clip(0.0, 1.0)
@@ -114,20 +102,20 @@ class ConfigSpace:
 class Objective:
     """Runs configurations through the cluster simulator and scores them.
 
-    ``penalized=True`` applies the §6.1 abort rule: an aborted run's
-    objective is twice the worst (penalized) objective observed so far.
+    The objective is the runtime, with the §6.1 abort rule: an aborted
+    run scores twice the worst runtime observed so far (its own
+    included).
     """
 
     model: WorkloadModel
     cluster: ClusterSpec
     seed: int = 0
-    penalized: bool = True
     history: list[Sample] = field(default_factory=list)
 
     def __call__(self, cfg: MemoryConfig) -> Sample:
         run = simulate(self.model, cfg, self.cluster, seed=self.seed)
         obj = run.runtime_sec
-        if self.penalized and run.aborted:
+        if run.aborted:
             # §6.1: "the objective value for the sample is set to twice
             # the worst runtime obtained on the samples explored so far"
             # — worst *runtime*, not worst penalized objective, so

@@ -13,22 +13,17 @@ import numpy as np
 
 from ..cluster import ClusterSpec
 from ..config import MemoryConfig
-from ..core.qmodel import q_metrics
+from ..core.qmodel import q_features
 from ..profiler.stats import ProfileStats
 from .base import ConfigSpace, Objective, TuningResult
 from .bo import bayesian_optimize
 
-#: q values are clipped before standardizing into the kernel space — a
-#: wildly unsafe configuration should rank "bad", not distort distances.
-Q_CLIP = 4.0
-
 
 def gbo_features(space: ConfigSpace, stats: ProfileStats, cluster: ClusterSpec):
-    """Feature function: x ⊕ q(x)/Q_CLIP, all roughly in [0, 1]."""
+    """Feature function: x ⊕ q_features(x), all in [0, 1]."""
 
     def feats(cfg: MemoryConfig) -> np.ndarray:
-        q = np.clip(np.array(q_metrics(cfg, stats, cluster)), 0.0, Q_CLIP) / Q_CLIP
-        return np.concatenate([space.encode(cfg), q])
+        return np.concatenate([space.encode(cfg), q_features(cfg, stats, cluster)])
 
     return feats
 

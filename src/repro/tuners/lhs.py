@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import MemoryConfig
+from ..config import MemoryConfig, pool_config
 from .base import ConfigSpace
 
 
@@ -37,20 +37,8 @@ def paper_table7_samples(space: ConfigSpace) -> list[MemoryConfig]:
     each dimension's strata are hit exactly once, the LHS property.
     """
     rows = [(1, 4, 0.6, 7), (2, 1, 0.4, 3), (3, 2, 0.2, 5), (4, 2, 0.8, 1)]
-    out = []
-    for n, p, frac, nr in rows:
-        p = min(p, space.cluster.max_task_concurrency(n))
-        if space.dominant_pool == "cache":
-            cache, shuffle = frac, 0.1
-        else:
-            cache, shuffle = 0.0, frac
-        out.append(
-            MemoryConfig(
-                containers_per_node=n,
-                task_concurrency=p,
-                cache_capacity=cache,
-                shuffle_capacity=shuffle,
-                new_ratio=nr,
-            )
-        )
-    return out
+    return [
+        pool_config(n, min(p, space.cluster.max_task_concurrency(n)), frac, nr,
+                    dominant_pool=space.dominant_pool)
+        for n, p, frac, nr in rows
+    ]
