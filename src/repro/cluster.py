@@ -56,9 +56,15 @@ class ClusterSpec:
         (4, 1101MB).
         """
         return [
-            ContainerChoice(n, float(int(self.node_heap_mb / n)))
+            ContainerChoice(n, float(self.container_heap_mb(n)))
             for n in range(1, self.max_containers_per_node + 1)
         ]
+
+    def container_heap_mb(self, containers_per_node):
+        """Heap of each container when a node holds ``containers_per_node``
+        of them: the node heap split evenly, in whole MB (§4 Example).
+        Takes an int or an array; ``// 1`` floors both alike."""
+        return (self.node_heap_mb / containers_per_node) // 1
 
     def max_task_concurrency(self, containers_per_node: int) -> int:
         """Task Concurrency range cap: physical cores / containers (§6.1)."""

@@ -12,13 +12,16 @@ A :class:`MemoryConfig` carries the five knobs every policy tunes
 Also defined here: the Amazon-EMR ``MaxResourceAllocation`` default policy
 (Table 4), :func:`pool_config`, the one mapping from the four tuned §6.1
 knobs to a ``MemoryConfig`` (only the dominant one of Cache/Shuffle
-varied, the minor pool pinned at 0.1), and the discretized grid the
+varied, the minor pool pinned at 0.1; :func:`pool_fields` also takes
+arrays of knobs), and the discretized grid the
 Exhaustive Search policy probes (§6.1: 4 values per knob).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
+
+import numpy as np
 
 from .cluster import ClusterSpec
 
@@ -68,7 +71,7 @@ class MemoryConfig:
 
     def heap_mb(self, cluster: ClusterSpec) -> float:
         """Heap per container when this config runs on ``cluster``."""
-        return float(int(cluster.node_heap_mb / self.containers_per_node))
+        return float(cluster.container_heap_mb(self.containers_per_node))
 
     def with_(self, **kw) -> "MemoryConfig":
         """Functional update."""
@@ -114,28 +117,52 @@ def check_dominant_pool(dominant_pool: str) -> str:
     return dominant_pool
 
 
-def pool_config(n: int, p: int, frac: float, nr: int, *, dominant_pool: str) -> MemoryConfig:
-    """The one point of the §6.1 space with knobs (n, p, frac, NR).
+def pool_fraction(frac: float) -> float:
+    """A dominant-pool fraction as the §6.1 space keeps it: rounded to 2
+    decimals by Python's ``round`` (``np.round`` scales by 100 first, and
+    can round a value the other way)."""
+    return round(frac, 2)
 
-    ``frac`` (rounded to 2 decimals) goes to the dominant pool — Cache
-    Capacity for cache-heavy apps (K-means, SVM, PageRank), Shuffle
-    Capacity for shuffle-only apps (WordCount, SortByKey). A cache-heavy
-    app keeps the minor shuffle pool pinned at :data:`MINOR_POOL_CAPACITY`;
-    a shuffle-only app gets no cache pool. Task Concurrency is taken as
-    given: each caller applies its own cap.
+
+def pool_fractions(frac: np.ndarray) -> np.ndarray:
+    """:func:`pool_fraction` of each of an array of fractions in [0, 1].
+
+    ``np.round`` rounds ``100·frac`` after one rounding of the product,
+    so it agrees with ``round(·, 2)`` except where ``100·frac`` lies
+    within that rounding error of a half; those few values go through
+    :func:`pool_fraction` itself.
     """
-    frac = round(frac, 2)
+    out = np.round(frac, 2)
+    scaled = 100.0 * frac
+    near_half = np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6
+    if near_half.any():
+        out[near_half] = [pool_fraction(f) for f in frac[near_half].tolist()]
+    return out
+
+
+def pool_fields(n, p, frac, nr, *, dominant_pool: str) -> tuple:
+    """The ``MemoryConfig`` fields (n, p, cache, shuffle, NR, SR) of the
+    §6.1 knobs (n, p, frac, NR), taken as given.
+
+    ``frac`` goes to the dominant pool — Cache Capacity for cache-heavy
+    apps (K-means, SVM, PageRank), Shuffle Capacity for shuffle-only apps
+    (WordCount, SortByKey). A cache-heavy app keeps the minor shuffle pool
+    pinned at :data:`MINOR_POOL_CAPACITY`; a shuffle-only app gets no
+    cache pool. Each knob may be a scalar or an array with one value per
+    config; the pinned fields stay scalars.
+    """
     if check_dominant_pool(dominant_pool) == "cache":
         cache, shuffle = frac, MINOR_POOL_CAPACITY
     else:
         cache, shuffle = 0.0, frac
-    return MemoryConfig(
-        containers_per_node=n,
-        task_concurrency=p,
-        cache_capacity=cache,
-        shuffle_capacity=shuffle,
-        new_ratio=nr,
-    )
+    return n, p, cache, shuffle, nr, DEFAULT_SURVIVOR_RATIO
+
+
+def pool_config(n: int, p: int, frac: float, nr: int, *, dominant_pool: str) -> MemoryConfig:
+    """The one point of the §6.1 space with knobs (n, p, frac, NR):
+    :func:`pool_fields` of the :func:`pool_fraction` of ``frac``. Task
+    Concurrency is taken as given: each caller applies its own cap."""
+    return MemoryConfig(*pool_fields(n, p, pool_fraction(frac), nr, dominant_pool=dominant_pool))
 
 
 def pool_knobs(cfg: MemoryConfig, *, dominant_pool: str) -> tuple[int, int, float, int]:

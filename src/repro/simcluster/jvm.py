@@ -16,6 +16,22 @@ from dataclasses import dataclass
 JVM_RESERVED_FRAC = 0.02
 
 
+def young_capacity(heap_mb, new_ratio):
+    """Young generation capacity in MB: heap / (NR + 1). This and the two
+    capacity functions below take scalars or arrays (one value per heap)."""
+    return heap_mb / (new_ratio + 1)
+
+
+def old_capacity(heap_mb, new_ratio):
+    """Old generation capacity in MB: heap · NR / (NR + 1)."""
+    return heap_mb * new_ratio / (new_ratio + 1)
+
+
+def eden_capacity(heap_mb, new_ratio, survivor_ratio):
+    """Eden capacity in MB: young · (SR − 2) / SR (paper Eq 3)."""
+    return young_capacity(heap_mb, new_ratio) * (survivor_ratio - 2) / survivor_ratio
+
+
 @dataclass(frozen=True)
 class HeapGeometry:
     """Pool capacities of one container's heap, in MB."""
@@ -35,17 +51,17 @@ class HeapGeometry:
     @property
     def young_mb(self) -> float:
         """Young generation capacity: heap / (NR + 1)."""
-        return self.heap_mb / (self.new_ratio + 1)
+        return young_capacity(self.heap_mb, self.new_ratio)
 
     @property
     def old_mb(self) -> float:
         """Old generation capacity: heap · NR / (NR + 1)."""
-        return self.heap_mb * self.new_ratio / (self.new_ratio + 1)
+        return old_capacity(self.heap_mb, self.new_ratio)
 
     @property
     def eden_mb(self) -> float:
         """Eden capacity: young · (SR − 2) / SR (paper Eq 3)."""
-        return self.young_mb * (self.survivor_ratio - 2) / self.survivor_ratio
+        return eden_capacity(self.heap_mb, self.new_ratio, self.survivor_ratio)
 
     @property
     def survivor_mb(self) -> float:

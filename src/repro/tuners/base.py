@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cluster import ClusterSpec
-from ..config import NEW_RATIO_MAX, MemoryConfig, check_dominant_pool, pool_config, pool_knobs
+from ..config import (
+    NEW_RATIO_MAX,
+    MemoryConfig,
+    check_dominant_pool,
+    pool_config,
+    pool_fractions,
+    pool_knobs,
+)
 from ..simcluster.runtime import SimulatedRun, simulate
 from ..workloads.base import WorkloadModel
 
@@ -60,6 +67,12 @@ class ConfigSpace:
     to the per-container core budget, so any point of the unit cube maps
     to a *valid* configuration — what both BO's acquisition search and
     DDPG's continuous actions require.
+
+    The ``*_rows`` methods work on knob rows: a (k, 4) float array of
+    (n, p, frac, NR), one row per configuration, with the fraction
+    already kept as :func:`~repro.config.pool_fraction` keeps it. Two
+    rows are equal exactly when their configurations are, and
+    :meth:`config` builds the ``MemoryConfig`` of a row.
     """
 
     FRAC_MIN, FRAC_MAX = 0.05, 0.9
@@ -69,33 +82,56 @@ class ConfigSpace:
         self.dominant_pool = check_dominant_pool(dominant_pool)
         self.dim = 4
 
+    def decode_rows(self, x: np.ndarray) -> np.ndarray:
+        """Map unit-cube points (k, 4) to the knob rows of valid configs."""
+        x = np.asarray(x, dtype=float)
+        if np.isnan(x).any():
+            raise ValueError("cannot decode a point with NaN coordinates")
+        x = np.clip(x, 0.0, 1.0)
+        n_max = self.cluster.max_containers_per_node
+        n = np.rint(1 + x[:, 0] * (n_max - 1))
+        p = np.rint(1 + x[:, 1] * (self.cluster.cores_per_node - 1))
+        p_max = np.array([self.cluster.max_task_concurrency(i) for i in range(1, n_max + 1)])
+        p = np.minimum(p, p_max[n.astype(int) - 1])
+        frac = pool_fractions(self.FRAC_MIN + x[:, 2] * (self.FRAC_MAX - self.FRAC_MIN))
+        nr = np.rint(1 + x[:, 3] * (NEW_RATIO_MAX - 1))
+        return np.column_stack([n, p, frac, nr])
+
+    def encode_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`decode_rows` (up to rounding)."""
+        n, p, frac, nr = np.asarray(rows, dtype=float).T
+        return np.column_stack([
+            (n - 1) / (self.cluster.max_containers_per_node - 1),
+            (p - 1) / (self.cluster.cores_per_node - 1),
+            (frac - self.FRAC_MIN) / (self.FRAC_MAX - self.FRAC_MIN),
+            (nr - 1) / (NEW_RATIO_MAX - 1),
+        ]).clip(0.0, 1.0)
+
+    def sample_rows(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """Knob rows of ``k`` uniform random configurations."""
+        return self.decode_rows(rng.random((k, self.dim)))
+
+    def knob_rows(self, configs: list[MemoryConfig]) -> np.ndarray:
+        """Knob rows of configurations of this space."""
+        rows = [pool_knobs(c, dominant_pool=self.dominant_pool) for c in configs]
+        return np.array(rows, dtype=float).reshape(len(rows), self.dim)
+
+    def config(self, row: np.ndarray) -> MemoryConfig:
+        """The ``MemoryConfig`` of one knob row."""
+        n, p, frac, nr = row.tolist()
+        return pool_config(int(n), int(p), frac, int(nr), dominant_pool=self.dominant_pool)
+
     def decode(self, x: np.ndarray) -> MemoryConfig:
         """Map a unit-cube point to a valid MemoryConfig."""
-        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        n = int(round(1 + x[0] * (self.cluster.max_containers_per_node - 1)))
-        p_max = self.cluster.max_task_concurrency(n)
-        p = int(round(1 + x[1] * (self.cluster.cores_per_node - 1)))
-        p = max(1, min(p, p_max))
-        frac = float(self.FRAC_MIN + x[2] * (self.FRAC_MAX - self.FRAC_MIN))
-        nr = int(round(1 + x[3] * (NEW_RATIO_MAX - 1)))
-        return pool_config(n, p, frac, nr, dominant_pool=self.dominant_pool)
+        return self.config(self.decode_rows(np.reshape(x, (1, self.dim)))[0])
 
     def encode(self, cfg: MemoryConfig) -> np.ndarray:
         """Inverse of :meth:`decode` (up to rounding)."""
-        n, p, frac, nr = pool_knobs(cfg, dominant_pool=self.dominant_pool)
-        return np.array(
-            [
-                (n - 1) / (self.cluster.max_containers_per_node - 1),
-                (p - 1) / (self.cluster.cores_per_node - 1),
-                (frac - self.FRAC_MIN) / (self.FRAC_MAX - self.FRAC_MIN),
-                (nr - 1) / (NEW_RATIO_MAX - 1),
-            ],
-            dtype=float,
-        ).clip(0.0, 1.0)
+        return self.encode_rows(self.knob_rows([cfg]))[0]
 
     def sample(self, rng: np.random.Generator, k: int) -> list[MemoryConfig]:
         """Uniform random configurations."""
-        return [self.decode(rng.random(self.dim)) for _ in range(k)]
+        return [self.config(row) for row in self.sample_rows(rng, k)]
 
 
 @dataclass

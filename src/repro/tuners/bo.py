@@ -11,6 +11,10 @@ incumbent **and** at least 6 adaptive samples observed.
 ``feature_fn`` lets GBO inject the white-box Q metrics as extra
 surrogate inputs without duplicating the loop; ``surrogate`` swaps the
 GP for the Random-Forest model of §6.5.
+
+Candidates stay knob rows (a (k, 4) array, see :class:`ConfigSpace`)
+from sampling through dedupe, featurization and EI; only the rows the
+pick walk checks against the observed set become ``MemoryConfig`` objects.
 """
 from __future__ import annotations
 
@@ -45,12 +49,26 @@ N_NEIGHBORS = 40
 NEIGHBOR_STEP = 0.08
 
 
+def unique_rows(rows: np.ndarray) -> np.ndarray:
+    """Knob rows without repeats, each kept at its first occurrence.
+
+    Rows are compared on integer keys (n, p, 100·frac, NR); the fraction
+    has 2 decimals (:func:`~repro.config.pool_fraction`), so equal keys
+    mean equal configurations.
+    """
+    keys = np.rint(rows * [1, 1, 100, 1]).astype(np.int64)
+    # One integer per row, so that np.unique sorts a flat array.
+    flat = np.ravel_multi_index(keys.T, keys.max(axis=0) + 1)
+    _, first = np.unique(flat, return_index=True)
+    return rows[np.sort(first)]
+
+
 def bayesian_optimize(
     objective: Objective,
     space: ConfigSpace,
     *,
     seed: int = 0,
-    feature_fn: Callable[[MemoryConfig], np.ndarray] | None = None,
+    feature_fn: Callable[[np.ndarray], np.ndarray] | None = None,
     bootstrap: list[MemoryConfig] | None = None,
     surrogate_fit: Callable[[np.ndarray, np.ndarray], Surrogate] | None = None,
     max_iters: int = DEFAULT_MAX_ITERS,
@@ -59,13 +77,17 @@ def bayesian_optimize(
 ) -> TuningResult:
     """Run the SMBO loop; returns the tuning result with timing breakdown.
 
+    ``feature_fn`` maps knob rows (see :class:`ConfigSpace`) to surrogate
+    inputs, one row each; the default is the unit-cube encoding. The
+    ``bootstrap`` configurations must lie in ``space``.
+
     With ``target_runtime_sec`` set, the EI/plateau stopping rules are
     replaced by "stop at the first clean run at or under the target" —
     the §6.2 protocol of training each policy until it finds a
     configuration within the top 5 percentile of Exhaustive Search.
     """
     rng = np.random.default_rng(seed)
-    feats = feature_fn or (lambda cfg: space.encode(cfg))
+    feats = feature_fn or space.encode_rows
     fit = surrogate_fit or (lambda x, y: GaussianProcess.fit(x, y))
     # The surrogate models log-runtime: the §6.1 abort penalty (2× worst)
     # would otherwise dominate the GP's output scale and flatten the
@@ -75,14 +97,17 @@ def bayesian_optimize(
     ei_stop = float(np.log1p(EI_STOP_FRACTION))
 
     boot = bootstrap if bootstrap is not None else lhs_configs(space, rng, k=4)
+    if any(space.config(row) != cfg for row, cfg in zip(space.knob_rows(boot), boot)):
+        raise ValueError("every bootstrap configuration must lie in the tuning space")
     for cfg in boot:
         objective(cfg)
+    grid = space.knob_rows(grid_configs(space.cluster, dominant_pool=space.dominant_pool))
 
     fit_sec = probe_sec = 0.0
     adaptive = 0
     best_trace: list[float] = []
     while adaptive < max_iters:
-        x = np.array([feats(s.config) for s in objective.history])
+        x = feats(space.knob_rows([s.config for s in objective.history]))
         y = np.log(np.maximum(1e-3, [s.objective for s in objective.history]))
 
         t0 = time.perf_counter()
@@ -93,15 +118,14 @@ def bayesian_optimize(
         # Random sweep + the discrete §6.1 grid + local refinement
         # around the incumbent (the random + gradient-search combo of
         # §5.1, adapted to a mixed discrete/continuous space).
-        cands = space.sample(rng, N_CANDIDATES)
-        cands.extend(grid_configs(space.cluster, dominant_pool=space.dominant_pool))
         inc = space.encode(objective.best().config)
-        for _ in range(N_NEIGHBORS):
-            cands.append(space.decode(inc + rng.normal(0.0, NEIGHBOR_STEP, space.dim)))
-        cands = list(dict.fromkeys(cands))
-        xq = np.array([feats(c) for c in cands])
+        cands = unique_rows(np.concatenate([
+            space.sample_rows(rng, N_CANDIDATES),
+            grid,
+            space.decode_rows(inc + rng.normal(0.0, NEIGHBOR_STEP, (N_NEIGHBORS, space.dim))),
+        ]))
         tau = float(min(y))
-        ei = expected_improvement(model, xq, tau)  # works for any Surrogate
+        ei = expected_improvement(model, feats(cands), tau)  # works for any Surrogate
         order = np.argsort(-ei)
         probe_sec += time.perf_counter() - t0
 
@@ -110,8 +134,9 @@ def bayesian_optimize(
         pick: MemoryConfig | None = None
         pick_ei = 0.0
         for i in order:
-            if cands[i] not in observed:
-                pick, pick_ei = cands[i], float(ei[i])
+            cfg = space.config(cands[i])
+            if cfg not in observed:
+                pick, pick_ei = cfg, float(ei[i])
                 break
         if pick is None:
             break

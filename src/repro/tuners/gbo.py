@@ -12,18 +12,21 @@ from __future__ import annotations
 import numpy as np
 
 from ..cluster import ClusterSpec
-from ..config import MemoryConfig
-from ..core.qmodel import q_features
+from ..config import MemoryConfig, pool_fields
+from ..core.qmodel import q_array, scale_q
 from ..profiler.stats import ProfileStats
 from .base import ConfigSpace, Objective, TuningResult
 from .bo import bayesian_optimize
 
 
 def gbo_features(space: ConfigSpace, stats: ProfileStats, cluster: ClusterSpec):
-    """Feature function: x ⊕ q_features(x), all in [0, 1]."""
+    """Feature function over knob rows: x ⊕ scaled q(x), all in [0, 1]."""
 
-    def feats(cfg: MemoryConfig) -> np.ndarray:
-        return np.concatenate([space.encode(cfg), q_features(cfg, stats, cluster)])
+    def feats(rows: np.ndarray) -> np.ndarray:
+        fields = pool_fields(*rows.T, dominant_pool=space.dominant_pool)
+        return np.concatenate(
+            [space.encode_rows(rows), scale_q(q_array(*fields, stats, cluster))], axis=1
+        )
 
     return feats
 

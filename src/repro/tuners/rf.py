@@ -59,10 +59,15 @@ def _build(x: np.ndarray, y: np.ndarray, rng: np.random.Generator, depth: int) -
     return node
 
 
-def _predict_one(node: _Node, row: np.ndarray) -> float:
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right  # type: ignore[assignment]
-    return node.value
+def _predict_tree(node: _Node, xq: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out[rows]`` the leaf value each of ``xq[rows]`` reaches."""
+    if node.is_leaf:
+        out[rows] = node.value
+        return
+    left = xq[rows, node.feature] <= node.threshold
+    for child, part in ((node.left, rows[left]), (node.right, rows[~left])):
+        if len(part):
+            _predict_tree(child, xq, part, out)  # type: ignore[arg-type]
 
 
 @dataclass
@@ -87,5 +92,8 @@ class RandomForest:
     def predict(self, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean and across-tree std at query points."""
         xq = np.atleast_2d(np.asarray(xq, dtype=float))
-        preds = np.array([[_predict_one(t, row) for row in xq] for t in self.trees])
+        preds = np.empty((len(self.trees), len(xq)))
+        rows = np.arange(len(xq))
+        for tree, out in zip(self.trees, preds):
+            _predict_tree(tree, xq, rows, out)
         return preds.mean(axis=0), np.maximum(preds.std(axis=0), 1e-9)

@@ -14,7 +14,6 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from .. import synth_data
 from .base import MeasuredProfile, WorkloadModel
 
 _POINTS_PER_SF = 20_000_000  # SF=1 ~ 1GB of 4-d float points
@@ -23,6 +22,8 @@ K = 4
 
 
 def input_df(spark: SparkSession, *, sf: float = 0.001, seed: int = 11) -> DataFrame:
+    from .. import synth_data  # loads pandas: keep it off the simulator's import path
+
     n = max(10, int(_POINTS_PER_SF * sf))
     return synth_data.clustered_points(spark, n=n, k=K, dim=DIM, seed=seed)
 

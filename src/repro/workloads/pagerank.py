@@ -13,7 +13,6 @@ import time
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from .. import synth_data
 from .base import MeasuredProfile, WorkloadModel
 
 _EDGES_PER_SF = 4_000_000  # SF=1 ~ 69M-edge-class graph scaled down
@@ -21,6 +20,8 @@ DAMPING = 0.85
 
 
 def input_df(spark: SparkSession, *, sf: float = 0.001, seed: int = 13) -> DataFrame:
+    from .. import synth_data  # loads pandas: keep it off the simulator's import path
+
     n_edges = max(10, int(_EDGES_PER_SF * sf))
     n_nodes = max(5, n_edges // 12)
     return synth_data.graph_edges(spark, n_edges=n_edges, n_nodes=n_nodes, seed=seed)

@@ -11,13 +11,14 @@ import time
 
 from pyspark.sql import DataFrame, SparkSession
 
-from .. import synth_data
 from .base import MeasuredProfile, WorkloadModel
 
 _ROWS_PER_SF = 8_000_000  # SF=1 ~ 1GB of (k, v) pairs
 
 
 def input_df(spark: SparkSession, *, sf: float = 0.001, seed: int = 4) -> DataFrame:
+    from .. import synth_data  # loads pandas: keep it off the simulator's import path
+
     n = max(1, int(_ROWS_PER_SF * sf))
     return synth_data.uniform_keys(spark, n=n, n_keys=max(10, n // 4), seed=seed)
 

@@ -15,7 +15,6 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from .. import synth_data
 from .base import MeasuredProfile, WorkloadModel
 
 _ROWS_PER_SF = 20_000_000
@@ -25,6 +24,8 @@ LR = 0.5  # learning rate
 
 
 def input_df(spark: SparkSession, *, sf: float = 0.001, seed: int = 12) -> DataFrame:
+    from .. import synth_data  # loads pandas: keep it off the simulator's import path
+
     n = max(10, int(_ROWS_PER_SF * sf))
     return synth_data.labeled_examples(spark, n=n, dim=DIM, seed=seed)
 

@@ -12,7 +12,6 @@ import time
 
 from pyspark.sql import DataFrame, SparkSession
 
-from .. import synth_data
 from .base import MeasuredProfile, WorkloadModel
 
 #: Query name → (SQL over lineitem/orders/customer/part). The same text
@@ -92,6 +91,8 @@ QUERIES: dict[str, str] = {
 
 def tables(spark: SparkSession, *, sf: float = 0.01) -> dict[str, DataFrame]:
     """Generate and return the four TPC-H-lite tables at ``sf``."""
+    from .. import synth_data  # loads pandas: keep it off the simulator's import path
+
     return {
         "lineitem": synth_data.lineitem(spark, sf=sf),
         "orders": synth_data.orders(spark, sf=sf),

@@ -10,7 +10,6 @@ import time
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from .. import synth_data
 from .base import MeasuredProfile, WorkloadModel
 
 #: Rows per unit scale factor (SF=1 ~ 1GB of text at ~64B/line ~ 16M lines).
@@ -18,6 +17,8 @@ _LINES_PER_SF = 16_000_000
 
 
 def input_df(spark: SparkSession, *, sf: float = 0.001, seed: int = 0) -> DataFrame:
+    from .. import synth_data  # loads pandas: keep it off the simulator's import path
+
     n = max(1, int(_LINES_PER_SF * sf))
     return synth_data.random_text(spark, n_lines=n, seed=seed)
 

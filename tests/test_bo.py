@@ -121,6 +121,13 @@ class TestBayesianOptimize:
         res = bayesian_optimize(obj, space, seed=0)
         assert res.fit_seconds > 0 and res.probe_seconds > 0
 
+    def test_rejects_bootstrap_outside_space(self):
+        space = ConfigSpace(CLUSTER_A, "cache")
+        obj = Objective(workload_model("SVM"), CLUSTER_A)
+        with pytest.raises(ValueError, match="bootstrap"):
+            bayesian_optimize(obj, space, seed=0, bootstrap=[MemoryConfig(2, 2, 0.5, 0.2, 3)])
+        assert not obj.history
+
     def test_rf_surrogate_plugs_in(self):
         space = ConfigSpace(CLUSTER_A, "cache")
         obj = Objective(workload_model("SVM"), CLUSTER_A)
@@ -137,8 +144,8 @@ class TestGuidedBayesianOptimize:
         space = ConfigSpace(CLUSTER_A, "cache")
         stats = profiled_stats("K-means", "A", 0)
         feats = gbo_features(space, stats, CLUSTER_A)
-        v = feats(MemoryConfig(1, 2, 0.6, 0.1, 2))
-        assert v.shape == (7,)  # 4 knobs + q1..q3
+        v = feats(space.knob_rows([MemoryConfig(1, 2, 0.6, 0.1, 2)]))
+        assert v.shape == (1, 7)  # 4 knobs + q1..q3
 
     def test_runs_and_labels_policy(self):
         space = ConfigSpace(CLUSTER_A, "cache")

@@ -40,6 +40,10 @@ class TestEncoding:
         cfg = space.decode(x)
         assert space.decode(space.encode(cfg)) == cfg
 
+    def test_nan_point_is_rejected(self, space):
+        with pytest.raises(ValueError, match="NaN"):
+            space.decode(np.array([0.5, np.nan, 0.5, 0.5]))
+
     def test_grid_and_table7_in_decode_image(self, space):
         grid = grid_configs(space.cluster, dominant_pool=space.dominant_pool)
         for cfg in grid + paper_table7_samples(space):
