@@ -1,8 +1,8 @@
-"""Shared plumbing for the spark-submit job entrypoints.
+"""Shared plumbing for the plain-Python experiment entrypoints.
 
 Each ``run_table*.py`` prints one evaluation table to stdout. The
-experiments run on the analytic simulator, so no job needs a
-SparkSession; importing this module puts ``src/`` on the path.
+experiments run on the analytic simulator and import no Spark, so every
+job runs with ``python``; importing this module puts ``src/`` on the path.
 """
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""spark-submit entrypoint reproducing the fig16_overheads numbers."""
+"""Plain-Python entrypoint reproducing the fig16_overheads numbers."""
 import _common  # noqa: F401  (sys.path setup)
 
 from repro.experiments import fig16_overheads

@@ -1,4 +1,4 @@
-"""spark-submit entrypoint reproducing the fig17_perf numbers."""
+"""Plain-Python entrypoint reproducing the fig17_perf numbers."""
 import _common  # noqa: F401  (sys.path setup)
 
 from repro.experiments import fig17_perf

@@ -1,4 +1,4 @@
-"""spark-submit entrypoint reproducing the fig21_tpch numbers."""
+"""Plain-Python entrypoint reproducing the fig21_tpch numbers."""
 import _common  # noqa: F401  (sys.path setup)
 
 from repro.experiments import tpch_relm

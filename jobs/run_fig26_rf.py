@@ -1,4 +1,4 @@
-"""spark-submit entrypoint reproducing the fig26_rf numbers."""
+"""Plain-Python entrypoint reproducing the fig26_rf numbers."""
 import _common  # noqa: F401  (sys.path setup)
 
 from repro.experiments import fig26_rf

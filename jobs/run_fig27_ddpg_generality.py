@@ -1,4 +1,4 @@
-"""spark-submit entrypoint reproducing the fig27_ddpg_generality numbers."""
+"""Plain-Python entrypoint reproducing the fig27_ddpg_generality numbers."""
 import _common  # noqa: F401  (sys.path setup)
 
 from repro.experiments import fig27_ddpg_generality

@@ -1,4 +1,4 @@
-"""spark-submit entrypoint reproducing paper Table 5."""
+"""Plain-Python entrypoint reproducing paper Table 5."""
 import _common  # noqa: F401  (sys.path setup)
 
 from repro.experiments import table5_manual_pagerank

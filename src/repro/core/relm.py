@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass
 
 from ..cluster import ClusterSpec, ContainerChoice
-from ..config import NEW_RATIO_MAX, NEW_RATIO_MIN, MemoryConfig
+from ..config import DEFAULT_SURVIVOR_RATIO, NEW_RATIO_MAX, NEW_RATIO_MIN, MemoryConfig
 from ..profiler.stats import ProfileStats
+from ..simcluster.jvm import eden_capacity, old_capacity
 from ..units import clamp
 
 #: Safety factor δ: fraction of memory kept unassigned (§6.1 uses 0.1).
@@ -39,21 +40,13 @@ class InitialConfig:
 
 
 @dataclass(frozen=True)
-class ArbitratedConfig:
+class ArbitratedConfig(InitialConfig):
     """Arbitrator output (Algorithm 1): a safe configuration + utility."""
 
-    heap_mb: float
-    containers_per_node: int
-    cache_mb: float
-    shuffle_task_mb: float
-    task_concurrency: int
-    new_ratio: int
-    old_mb: float
-    eden_mb: float
     utility: float
     iterations: int
 
-    def to_memory_config(self, survivor_ratio: int = 8) -> MemoryConfig:
+    def to_memory_config(self) -> MemoryConfig:
         """Translate pool sizes into the Table 1 knob vector.
 
         Cache Capacity is ``m_c/m_h``; Shuffle Capacity is the *total*
@@ -68,24 +61,16 @@ class ArbitratedConfig:
             cache_capacity=round(f_c, 2),
             shuffle_capacity=round(f_s, 2),
             new_ratio=_new_ratio_from_old(self.old_mb, self.heap_mb),
-            survivor_ratio=survivor_ratio,
         )
 
 
-def _gc_pools(heap_mb: float, code_mb: float, cache_mb: float, survivor_ratio: int) -> tuple[int, float, float]:
+def _gc_pools(heap_mb: float, code_mb: float, cache_mb: float) -> tuple[int, float, float]:
     """Eq 3: NewRatio sized so Old just fits the long-term pools.
 
     Returns (NR, old_mb, eden_mb).
     """
-    long_term = code_mb + cache_mb
-    denom = heap_mb - long_term
-    if denom <= 0:
-        nr = NEW_RATIO_MAX
-    else:
-        nr = int(clamp(math.ceil(long_term / denom), NEW_RATIO_MIN, NEW_RATIO_MAX))
-    old = heap_mb * nr / (nr + 1)
-    eden = heap_mb / (nr + 1) * (survivor_ratio - 2) / survivor_ratio
-    return nr, old, eden
+    nr = _new_ratio_from_old(code_mb + cache_mb, heap_mb)
+    return nr, old_capacity(heap_mb, nr), eden_capacity(heap_mb, nr, DEFAULT_SURVIVOR_RATIO)
 
 
 def _new_ratio_from_old(old_mb: float, heap_mb: float) -> int:
@@ -100,9 +85,6 @@ def initialize(
     stats: ProfileStats,
     choice: ContainerChoice,
     cluster: ClusterSpec,
-    *,
-    delta: float = DEFAULT_DELTA,
-    survivor_ratio: int = 8,
 ) -> InitialConfig:
     """Initializer (§4.2): optimize each pool independently.
 
@@ -115,19 +97,19 @@ def initialize(
 
     # Eq 1 — scale observed cache usage by the hit ratio to the true demand.
     if stats.cache_mb > 0 and stats.cache_hit_ratio > 0:
-        m_c = m_h * min(stats.cache_mb / (stats.cache_hit_ratio * stats.heap_mb), 1.0 - delta)
+        m_c = m_h * min(stats.cache_mb / (stats.cache_hit_ratio * stats.heap_mb), 1.0 - DEFAULT_DELTA)
     else:
         m_c = 0.0
 
     # Eq 2 — scale observed shuffle usage by the spill fraction.
     if stats.shuffle_task_mb > 0:
         denom = 1.0 - stats.spill_fraction / stats.task_concurrency
-        m_s = min(stats.shuffle_task_mb / max(1e-6, denom), (1.0 - delta) * m_h)
+        m_s = min(stats.shuffle_task_mb / max(1e-6, denom), (1.0 - DEFAULT_DELTA) * m_h)
     else:
         m_s = 0.0
 
     # Eq 3 — GC pools sized for the long-term requirements.
-    nr, old, eden = _gc_pools(m_h, stats.code_mb, m_c, survivor_ratio)
+    nr, old, eden = _gc_pools(m_h, stats.code_mb, m_c)
 
     # Eq 4 — concurrency bounded by each resource, linear model. The
     # paper's formula divides node utilization by P alone because its
@@ -137,9 +119,9 @@ def initialize(
     tasks_per_node = stats.containers_per_node * stats.task_concurrency
     per_task_cpu = stats.cpu_avg_pct / tasks_per_node
     per_task_disk = stats.disk_avg_pct / tasks_per_node
-    p_cpu = (1.0 / n) * (1.0 - delta) * 100.0 / max(1e-6, per_task_cpu)
-    p_disk = (1.0 / n) * (1.0 - delta) * 100.0 / max(1e-6, per_task_disk)
-    p_mem = (1.0 - delta) * m_h / max(1e-6, stats.unmanaged_task_mb)
+    p_cpu = (1.0 / n) * (1.0 - DEFAULT_DELTA) * 100.0 / max(1e-6, per_task_cpu)
+    p_disk = (1.0 / n) * (1.0 - DEFAULT_DELTA) * 100.0 / max(1e-6, per_task_disk)
+    p_mem = (1.0 - DEFAULT_DELTA) * m_h / max(1e-6, stats.unmanaged_task_mb)
     p = int(min(p_cpu, p_disk, p_mem, cluster.max_task_concurrency(n)))
     p = max(1, p)
 
@@ -155,13 +137,7 @@ def initialize(
     )
 
 
-def arbitrate(
-    init: InitialConfig,
-    stats: ProfileStats,
-    *,
-    delta: float = DEFAULT_DELTA,
-    survivor_ratio: int = 8,
-) -> ArbitratedConfig | None:
+def arbitrate(init: InitialConfig, stats: ProfileStats) -> ArbitratedConfig | None:
     """Arbitrator (Algorithm 1). Returns ``None`` when the container is
     too small to run even a single task (Line 1's insufficiency check).
     """
@@ -169,7 +145,7 @@ def arbitrate(
     m_i, m_u = stats.code_mb, stats.unmanaged_task_mb
 
     # Line 1: bare minimum — one task must fit.
-    if (m_i + m_u) > (1.0 - delta) * m_h:
+    if (m_i + m_u) > (1.0 - DEFAULT_DELTA) * m_h:
         return None
 
     p = init.task_concurrency
@@ -197,15 +173,15 @@ def arbitrate(
             # II. Reduce Cache Storage by M_u; re-derive GC pools (Eq 3).
             if m_c - m_u > 0:
                 m_c -= m_u
-                nr, old, eden = _gc_pools(m_h, m_i, m_c, survivor_ratio)
+                nr, old, eden = _gc_pools(m_h, m_i, m_c)
         else:
             # III. Grow Old by M_u (trade GC overhead for safety, Obs 6).
-            if old + m_u < (1.0 - delta) * m_h:
+            if old + m_u < (1.0 - DEFAULT_DELTA) * m_h:
                 old += m_u
                 nr = _new_ratio_from_old(old, m_h)
-                eden = m_h / (nr + 1) * (survivor_ratio - 2) / survivor_ratio
+                eden = eden_capacity(m_h, nr, DEFAULT_SURVIVOR_RATIO)
         # If every action is exhausted, the loop cannot progress.
-        if p == 1 and m_c - m_u <= 0 and old + m_u >= (1.0 - delta) * m_h:
+        if p == 1 and m_c - m_u <= 0 and old + m_u >= (1.0 - DEFAULT_DELTA) * m_h:
             if (m_i + p * m_u + m_c) > old:
                 return None
 
@@ -228,10 +204,7 @@ def arbitrate(
 
 
 def relm_recommend(
-    stats: ProfileStats,
-    cluster: ClusterSpec,
-    *,
-    delta: float = DEFAULT_DELTA,
+    stats: ProfileStats, cluster: ClusterSpec
 ) -> tuple[MemoryConfig, ArbitratedConfig, list[ArbitratedConfig]]:
     """Enumerate container sizes, arbitrate each, pick the max-utility one.
 
@@ -241,8 +214,7 @@ def relm_recommend(
     """
     candidates: list[ArbitratedConfig] = []
     for choice in cluster.container_choices():
-        init = initialize(stats, choice, cluster, delta=delta)
-        arb = arbitrate(init, stats, delta=delta)
+        arb = arbitrate(initialize(stats, choice, cluster), stats)
         if arb is not None:
             candidates.append(arb)
     if not candidates:

@@ -9,16 +9,16 @@ turns a (WorkloadModel, MemoryConfig, ClusterSpec) triple into the
 observables the tuning policies see: runtime, failures, GC overheads,
 cache hit ratio, and spill fraction.
 
-Models are **derived from measurement**: each workload module runs the
-real PySpark job on synthetic data at a small scale factor, measures
-rows/bytes/time (:class:`MeasuredProfile`), and
-:func:`scale_measurement` extrapolates to the paper's dataset size. The
-constants frozen in each module's ``MODEL`` come from that pipeline
-(see the per-module derivation comments); tests in
+Models are **derived from measurement**: each Spark job module's
+``measure()`` runs the real PySpark job on synthetic data at a small
+scale factor and records rows/bytes/time (:class:`MeasuredProfile`),
+and :func:`scale_measurement` extrapolates to the paper's dataset size.
+The constants frozen in the :mod:`repro.workloads` registry come from
+that pipeline (see the derivation comment on each model); tests in
 ``tests/test_workload_scaling.py`` assert the live measurement still
 lands within a band of the frozen values, so the models stay tied to
 real executed Spark jobs without making the experiment tables
-nondeterministic.
+nondeterministic. This module imports no Spark.
 """
 from __future__ import annotations
 

@@ -14,7 +14,7 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from .base import MeasuredProfile, WorkloadModel
+from .base import MeasuredProfile
 
 _POINTS_PER_SF = 20_000_000  # SF=1 ~ 1GB of 4-d float points
 DIM = 4
@@ -119,28 +119,3 @@ def measure(spark: SparkSession, *, sf: float = 0.001) -> MeasuredProfile:
         mem_expansion=1.5,  # boxed Double[] vectors vs packed doubles
         shuffle_frac=0.01,  # only per-partition partial sums shuffle
     )
-
-
-#: Paper-scale model: 100M HiBench samples ≈ 19.2GB input in 150 × 128MB
-#: partitions; the cached RDD of boxed vectors inflates to ~28.8GB, which
-#: cannot fully fit on Cluster A (Figure 7d: K-means never reaches hit
-#: ratio 1 before the memory bottleneck). 8 Lloyd iterations.
-MODEL = WorkloadModel(
-    name="K-means",
-    input_mb=19.2 * 1024,
-    partition_mb=128,
-    cache_mb=28.8 * 1024,
-    shuffle_task_mb=60.0,
-    unmanaged_task_mb=185.0,
-    tenured_frac=0.6,
-    code_mb=120.0,
-    cpu_sec_per_task=10.0,
-    cpu_cores_per_task=0.95,
-    disk_mbps_per_task=12.0,
-    net_task_mb=15.0,
-    alloc_mbps_per_task=70.0,
-    iterations=8,
-    iter_cpu_frac=0.5,
-    recompute_frac=3.5,  # a miss re-reads, re-parses and re-vectorizes the partition
-    stage_overhead_sec=12.0,
-)

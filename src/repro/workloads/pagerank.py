@@ -13,7 +13,7 @@ import time
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from .base import MeasuredProfile, WorkloadModel
+from .base import MeasuredProfile
 
 _EDGES_PER_SF = 4_000_000  # SF=1 ~ 69M-edge-class graph scaled down
 DAMPING = 0.85
@@ -78,33 +78,3 @@ def measure(spark: SparkSession, *, sf: float = 0.001) -> MeasuredProfile:
         mem_expansion=6.0,  # GraphX edge/vertex replication + routing tables
         shuffle_frac=0.0,  # GraphX keeps messages in its own cached structures
     )
-
-
-#: Paper-scale model. LiveJournal's 69M edges are ~1.1GB on disk but the
-#: coalesced GraphX representation processed per task is far larger: the
-#: paper measures M_u = 770MB and M_c = 2300MB at hit ratio 0.3
-#: (Table 6), implying a cache demand near 60GB across 8 containers —
-#: we use 60GB so the simulated Statistics Generator reproduces the
-#: Table 6 column. 32 coalesced edge partitions, 10 rank iterations,
-#: 550MB of off-heap network fetch per coalesce task (Figure 11's RSS
-#: mechanism). M_s = 0 matching Table 6.
-MODEL = WorkloadModel(
-    name="PageRank",
-    input_mb=4096,
-    partition_mb=128,
-    cache_mb=60.0 * 1024,
-    shuffle_task_mb=0.0,
-    unmanaged_task_mb=770.0,
-    tenured_frac=0.5,
-    code_mb=115.0,
-    cpu_sec_per_task=38.0,
-    cpu_cores_per_task=1.4,  # Table 6: CPU_avg 35% at P=2 on 8 cores
-    disk_mbps_per_task=1.0,  # Table 6: Disk_avg 2%
-
-    net_task_mb=550.0,
-    alloc_mbps_per_task=90.0,
-    iterations=10,
-    iter_cpu_frac=0.35,
-    recompute_frac=1.0,
-    stage_overhead_sec=20.0,
-)

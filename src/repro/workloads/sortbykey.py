@@ -11,7 +11,7 @@ import time
 
 from pyspark.sql import DataFrame, SparkSession
 
-from .base import MeasuredProfile, WorkloadModel
+from .base import MeasuredProfile
 
 _ROWS_PER_SF = 8_000_000  # SF=1 ~ 1GB of (k, v) pairs
 
@@ -49,29 +49,3 @@ def measure(spark: SparkSession, *, sf: float = 0.001) -> MeasuredProfile:
         mem_expansion=1.5,  # boxed pairs / sort records
         shuffle_frac=1.0,  # every byte is shuffled and sorted
     )
-
-
-#: Paper-scale model (30GB, 512MB partitions → 60 fat tasks). The
-#: per-task sort working set is the whole partition in sort-record form
-#: (1.5x expansion); M_u is the streamed deserialization window of a
-#: 512MB partition. The deliberately large partitions (Table 2 footnote)
-#: give SortByKey the biggest per-task footprint in the suite.
-MODEL = WorkloadModel(
-    name="SortByKey",
-    input_mb=30 * 1024,
-    partition_mb=512,
-    cache_mb=0.0,
-    shuffle_task_mb=768.0,
-    unmanaged_task_mb=420.0,
-    tenured_frac=0.2,
-    code_mb=110.0,
-    cpu_sec_per_task=50.0,
-    cpu_cores_per_task=0.85,
-    disk_mbps_per_task=25.0,
-    net_task_mb=60.0,
-    alloc_mbps_per_task=110.0,
-    iterations=0,
-    iter_cpu_frac=0.0,
-    recompute_frac=0.0,
-    stage_overhead_sec=15.0,
-)

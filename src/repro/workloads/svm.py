@@ -15,7 +15,7 @@ import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from .base import MeasuredProfile, WorkloadModel
+from .base import MeasuredProfile
 
 _ROWS_PER_SF = 20_000_000
 DIM = 4
@@ -95,29 +95,3 @@ def measure(spark: SparkSession, *, sf: float = 0.001) -> MeasuredProfile:
         mem_expansion=1.67,
         shuffle_frac=0.005,  # only partial gradient sums shuffle
     )
-
-
-#: Paper-scale model: 100M examples ≈ 9.4GB input in 300 × 32MB
-#: partitions; cached examples inflate to ~15.6GB, which fits fully at
-#: Cache Capacity >= 0.5 on the default containers (Figure 7d: SVM hits
-#: ratio 1.0 at 0.5). Tiny M_u keeps heap pressure low → no full GCs on
-#: big-heap profiles (the Figure 22 sensitivity study).
-MODEL = WorkloadModel(
-    name="SVM",
-    input_mb=9.4 * 1024,
-    partition_mb=32,
-    cache_mb=15.6 * 1024,
-    shuffle_task_mb=30.0,
-    unmanaged_task_mb=60.0,
-    tenured_frac=0.1,
-    code_mb=110.0,
-    cpu_sec_per_task=6.0,
-    cpu_cores_per_task=1.0,
-    disk_mbps_per_task=8.0,
-    net_task_mb=8.0,
-    alloc_mbps_per_task=50.0,
-    iterations=5,
-    iter_cpu_frac=0.6,
-    recompute_frac=0.8,
-    stage_overhead_sec=12.0,
-)

@@ -10,7 +10,7 @@ import time
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from .base import MeasuredProfile, WorkloadModel
+from .base import MeasuredProfile
 
 #: Rows per unit scale factor (SF=1 ~ 1GB of text at ~64B/line ~ 16M lines).
 _LINES_PER_SF = 16_000_000
@@ -60,29 +60,3 @@ def measure(spark: SparkSession, *, sf: float = 0.001) -> MeasuredProfile:
         mem_expansion=1.8,  # java.lang.String ~2 bytes/char + object headers
         shuffle_frac=0.08,  # word/count pairs are a small fraction of text
     )
-
-
-#: Paper-scale model (50GB input, 128MB partitions → 400 tasks). CPU cost
-#: and footprints derived via ``scale_measurement`` from ``measure`` at
-#: SF=0.01 (see tests/test_workload_scaling.py); shuffle per task is the
-#: per-partition word-count map (~8% of a deserialized 128MB partition),
-#: M_u the deserialized partition at the measured ~1.8x string expansion.
-MODEL = WorkloadModel(
-    name="WordCount",
-    input_mb=50 * 1024,
-    partition_mb=128,
-    cache_mb=0.0,
-    shuffle_task_mb=40.0,
-    unmanaged_task_mb=230.0,
-    tenured_frac=0.15,
-    code_mb=110.0,
-    cpu_sec_per_task=30.0,
-    cpu_cores_per_task=0.9,
-    disk_mbps_per_task=14.0,
-    net_task_mb=10.0,
-    alloc_mbps_per_task=90.0,
-    iterations=0,
-    iter_cpu_frac=0.0,
-    recompute_frac=0.0,
-    stage_overhead_sec=15.0,
-)

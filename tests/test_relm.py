@@ -4,10 +4,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import CLUSTER_A
+from repro.cluster import CLUSTER_A, CLUSTER_B
 from repro.config import NEW_RATIO_MAX, NEW_RATIO_MIN
 from repro.core import arbitrate, initialize, relm_recommend
 from repro.core.relm import _gc_pools, _new_ratio_from_old
+from repro.profiler import generate_stats, profile_with_full_gc
 from repro.profiler.stats import ProfileStats
 from repro.simcluster import simulate
 from repro.workloads import SUITE, workload_model
@@ -73,7 +74,7 @@ class TestInitializerEquations:
         assert init.task_concurrency <= CLUSTER_A.cores_per_node
 
     def test_gc_pools_eq3(self):
-        nr, old, eden = _gc_pools(4404, 115, 2000, 8)
+        nr, old, eden = _gc_pools(4404, 115, 2000)
         assert nr == math.ceil((115 + 2000) / (4404 - 115 - 2000))
         assert old == pytest.approx(4404 * nr / (nr + 1))
         assert eden == pytest.approx(4404 / (nr + 1) * 6 / 8)
@@ -198,3 +199,41 @@ class TestRecommendations:
         stats = make_stats(unmanaged_task_mb=50000.0)
         with pytest.raises(ValueError):
             relm_recommend(stats, CLUSTER_A)
+
+
+#: WorkloadModel fields scaled by the §4 safety property: memory, CPU, network.
+PERTURBED_FIELDS = (
+    "code_mb", "cache_mb", "shuffle_task_mb", "unmanaged_task_mb",
+    "cpu_sec_per_task", "cpu_cores_per_task", "net_task_mb",
+)
+
+
+class TestSafetyOnPerturbedModels:
+    """§4's central claim on models RelM was not built around: each of the
+    six registered models with its memory, CPU and network fields scaled
+    by factors in [0.5, 1.5], profiled from its default configuration on
+    Cluster A or B. RelM either refuses (its documented ``ValueError``) or
+    recommends a configuration that runs without losing a container."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(SUITE + ("TPC-H",)),
+        cluster=st.sampled_from((CLUSTER_A, CLUSTER_B)),
+        factors=st.lists(
+            st.floats(min_value=0.5, max_value=1.5),
+            min_size=len(PERTURBED_FIELDS), max_size=len(PERTURBED_FIELDS),
+        ),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_recommendation_is_safe_or_refused(self, name, cluster, factors, seed):
+        base = workload_model(name)
+        model = base.with_(**{f: getattr(base, f) * k for f, k in zip(PERTURBED_FIELDS, factors)})
+        profile, _ = profile_with_full_gc(model, default_config(name, cluster), cluster, seed=seed)
+        try:
+            cfg, _, _ = relm_recommend(generate_stats(profile), cluster)
+        except ValueError as e:
+            assert "no container choice can safely run this workload" in str(e)
+            return
+        run = simulate(model, cfg, cluster, seed=seed)
+        assert not run.aborted
+        assert run.failed_containers == 0

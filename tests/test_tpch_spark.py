@@ -2,7 +2,7 @@
 import pytest
 
 from repro.oracle import assert_equivalent
-from repro.workloads import tpch
+from repro.workloads import tpch, workload_model
 
 SF = 0.002
 
@@ -36,7 +36,7 @@ class TestQueries:
 
 class TestModel:
     def test_model_is_cluster_b_scale(self):
-        m = tpch.MODEL
+        m = workload_model("TPC-H")
         assert m.input_mb == 50 * 1024  # dbgen SF-50
         assert m.iterations == 21  # 22 queries
         assert m.cache_mb == 0.0

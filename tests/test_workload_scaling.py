@@ -1,17 +1,27 @@
 """Measurement → paper-scale model pipeline (workloads.base).
 
 Runs the real Spark jobs at a tiny scale factor, extrapolates via
-``scale_measurement``, and asserts the frozen ``MODEL`` constants sit
-within a generous band of the live measurement — keeping the simulator
-models tied to genuinely executed Spark jobs without making the
+``scale_measurement``, and asserts the frozen ``workload_model``
+constants sit within a generous band of the live measurement — keeping
+the simulator models tied to genuinely executed Spark jobs without making the
 experiment tables depend on wall-clock noise.
 """
 import pytest
 
-from repro.workloads import workload_module
+from repro.workloads import kmeans, pagerank, sortbykey, svm, tpch, wordcount, workload_model
 from repro.workloads.base import MeasuredProfile, WorkloadModel, scale_measurement
 
 SF = 0.0008
+
+#: Table 2 name → the Spark job module whose ``measure()`` the model was scaled from.
+JOBS = {
+    "WordCount": wordcount,
+    "SortByKey": sortbykey,
+    "K-means": kmeans,
+    "SVM": svm,
+    "PageRank": pagerank,
+    "TPC-H": tpch,
+}
 
 
 class TestScaleMeasurement:
@@ -47,7 +57,7 @@ class TestScaleMeasurement:
 
 class TestModelValidation:
     def test_rejects_bad_fields(self):
-        good = workload_module("WordCount").MODEL
+        good = workload_model("WordCount")
         with pytest.raises(ValueError):
             good.with_(input_mb=0)
         with pytest.raises(ValueError):
@@ -56,18 +66,17 @@ class TestModelValidation:
             good.with_(iterations=-1)
 
     def test_partition_count(self):
-        assert workload_module("WordCount").MODEL.n_partitions == 400
-        assert workload_module("SortByKey").MODEL.n_partitions == 60
-        assert workload_module("PageRank").MODEL.n_partitions == 32
+        assert workload_model("WordCount").n_partitions == 400
+        assert workload_model("SortByKey").n_partitions == 60
+        assert workload_model("PageRank").n_partitions == 32
 
 
 @pytest.mark.parametrize("name", ["WordCount", "SortByKey", "K-means", "SVM", "PageRank", "TPC-H"])
 class TestLiveMeasurementBands:
-    """The frozen MODEL constants vs a live tiny-SF measurement."""
+    """The frozen model constants vs a live tiny-SF measurement."""
 
     def test_measure_runs_and_is_consistent(self, spark, name):
-        mod = workload_module(name)
-        m = mod.measure(spark, sf=SF if name != "TPC-H" else 0.002)
+        m = JOBS[name].measure(spark, sf=SF if name != "TPC-H" else 0.002)
         assert m.rows > 0 and m.input_mb > 0 and m.wall_sec > 0
 
     def test_frozen_model_within_band(self, spark, name):
@@ -75,9 +84,8 @@ class TestLiveMeasurementBands:
         # the frozen constants to agree within a factor of 8 — wide
         # enough for host variance, tight enough to catch a model
         # decoupled from the real job (e.g. 100x off).
-        mod = workload_module(name)
-        model: WorkloadModel = mod.MODEL
-        m = mod.measure(spark, sf=SF if name != "TPC-H" else 0.002)
+        model: WorkloadModel = workload_model(name)
+        m = JOBS[name].measure(spark, sf=SF if name != "TPC-H" else 0.002)
         derived = scale_measurement(
             m, target_input_mb=model.input_mb, partition_mb=model.partition_mb
         )

@@ -10,7 +10,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.oracle import assert_equivalent
-from repro.workloads import SUITE, dominant_pool, workload_model, workload_module
+from repro.workloads import SUITE, dominant_pool, workload_model
 from repro.workloads import kmeans, pagerank, sortbykey, svm, wordcount
 
 SF = 0.0008  # tiny but non-trivial (thousands of rows)
@@ -27,8 +27,8 @@ class TestRegistry:
         assert m.n_partitions > 0
 
     def test_unknown_workload_raises(self):
-        with pytest.raises(KeyError):
-            workload_module("Sorting")
+        with pytest.raises(KeyError, match="unknown workload 'Sorting'; known:"):
+            workload_model("Sorting")
 
     @pytest.mark.parametrize(
         "name,pool",
